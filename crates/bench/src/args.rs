@@ -4,6 +4,13 @@
 use std::collections::HashMap;
 use std::str::FromStr;
 
+/// Reject a flag value the binary cannot run: print an `error:` line and
+/// exit with code 2, as for a malformed value.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
 /// Parsed `--key value` arguments. Bare `--flag` (no value) stores `"true"`.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
@@ -41,10 +48,9 @@ impl Args {
     pub fn get<T: FromStr>(&self, key: &str, default: T) -> T {
         match self.map.get(key) {
             None => default,
-            Some(raw) => raw.parse().unwrap_or_else(|_| {
-                eprintln!("error: --{key} {raw:?} is not a valid value");
-                std::process::exit(2);
-            }),
+            Some(raw) => raw
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("--{key} {raw:?} is not a valid value"))),
         }
     }
 

@@ -14,11 +14,13 @@
 //!
 //! Flags: `--net alarm` `--scheme non-uniform` `--m <events>` `--k`
 //! `--eps` `--seed` `--readers <R>` `--snapshot-every <events/epoch>`
-//! `--chunk` `--coord-workers` `--out <results/<out>.json>` `--quick`
-//! `--check` (exit non-zero unless both rates are finite and positive,
-//! the latency percentiles are sane, at least one snapshot was published,
-//! and the final served answers are byte-identical to the end-of-run
-//! model — the PR's acceptance anchor, under concurrency).
+//! `--chunk` `--out <results/<out>.json>` `--quick` `--check` (exit
+//! non-zero unless both rates are finite and positive, the latency
+//! percentiles are sane, at least one snapshot was published, and the
+//! final served answers are byte-identical to the end-of-run model — the
+//! acceptance anchor of the serving layer, under concurrency). Flag values
+//! the runtime cannot run exit with an `error:` line and code 2; a failed
+//! cluster run exits with code 1.
 //!
 //! The reader hot path is lock-free — two RCU loads per query, no lock
 //! held, no message sent, no coordination with ingest (see
@@ -29,7 +31,7 @@
 //! reader absorbs when a new epoch lands.
 
 use dsbn_bench::json::Json;
-use dsbn_bench::{json, resolve_networks, Args, LatencyRecorder, Table};
+use dsbn_bench::{json, resolve_networks, usage_error, Args, LatencyRecorder, Table};
 use dsbn_core::{run_cluster_tracker, Scheme, SnapshotHub, SnapshotServer, TrackerConfig};
 use dsbn_datagen::TrainingStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,8 +59,9 @@ fn main() {
         .into_iter()
         .find(|s| s.name() == scheme_name.to_ascii_lowercase())
         .unwrap_or_else(|| {
-            eprintln!("error: unknown scheme {scheme_name:?} (exact|baseline|uniform|non-uniform)");
-            std::process::exit(2);
+            usage_error(&format!(
+                "unknown scheme {scheme_name:?} (exact|baseline|uniform|non-uniform)"
+            ))
         });
     let m: u64 = args.get("m", if quick { 40_000 } else { 300_000 });
     let k: usize = args.get("k", if quick { 3 } else { 8 });
@@ -67,8 +70,19 @@ fn main() {
     let readers: usize = args.get("readers", if quick { 2 } else { 4 });
     let snapshot_every: u64 = args.get("snapshot-every", if quick { 2_000 } else { 10_000 });
     let chunk: usize = args.get("chunk", 64);
-    let coord_workers: usize = args.get("coord-workers", 1);
     let out = args.get_str("out", "mixed_workload");
+    if k == 0 {
+        usage_error("--k must be >= 1 (need at least one site)");
+    }
+    if !(eps > 0.0 && eps < 1.0) {
+        usage_error(&format!("--eps {eps} must be in (0, 1)"));
+    }
+    if chunk == 0 {
+        usage_error("--chunk must be >= 1");
+    }
+    if snapshot_every == 0 {
+        usage_error("--snapshot-every must be >= 1");
+    }
 
     // Pre-materialize both workloads outside every measured window: the
     // ingest stream (as `throughput` does) and a pool of query points the
@@ -83,7 +97,6 @@ fn main() {
         .with_eps(eps)
         .with_seed(seed)
         .with_chunk(chunk)
-        .with_coord_workers(coord_workers)
         .with_snapshot_every(snapshot_every)
         .with_publish(hub.clone());
     let server = SnapshotServer::new(net, tc.smoothing, hub.clone());
@@ -135,16 +148,20 @@ fn main() {
             .collect();
 
         let start = Instant::now();
-        let res =
-            run_cluster_tracker(net, &tc, events.iter().cloned()).expect("cluster run failed");
+        let res = run_cluster_tracker(net, &tc, events.iter().cloned());
         ingest_wall = start.elapsed().as_secs_f64();
+        // Stop the readers before looking at the result: a failed run must
+        // still let the scope join them.
         stop.store(true, Ordering::Relaxed);
         run = Some(res);
         for h in handles {
             outs.push(h.join().expect("reader thread panicked"));
         }
     });
-    let run = run.expect("ingest ran");
+    let run = run.expect("ingest ran").unwrap_or_else(|e| {
+        eprintln!("error: cluster run failed: {e}");
+        std::process::exit(1);
+    });
     let report = &run.report;
 
     let total_queries: u64 = outs.iter().map(|o| o.queries).sum();
@@ -179,7 +196,6 @@ fn main() {
         .field("readers", Json::UInt(readers as u64))
         .field("snapshot_every", Json::UInt(snapshot_every))
         .field("chunk", Json::UInt(chunk as u64))
-        .field("coord_workers", Json::UInt(coord_workers as u64))
         .field(
             "ingest",
             Json::obj()

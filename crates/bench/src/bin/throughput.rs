@@ -12,12 +12,12 @@
 //! Flags: `--nets sprinkler,alarm` `--schemes exact,baseline,uniform,non-uniform`
 //! `--m <sim events>` `--cluster-m <cluster events>` `--k` `--eps` `--seed`
 //! `--runs <medians over N>` `--chunk 1,16,256` (cluster ingest chunk-size
-//! sweep) `--coord-workers 1,2,4` (coordinator decode-worker sweep; `1` is
-//! the single-thread coordinator) `--churn <faults>` (inject a seeded
-//! crash/rejoin schedule of up to that many site faults into every cluster
-//! run — throughput under churn, DESIGN.md §8; `0`, the default, runs
-//! fault-free) `--out <results/<out>.json>` `--quick` `--check` (exit
-//! non-zero unless every events/s is finite and positive).
+//! sweep) `--churn <faults>` (inject a seeded crash/rejoin schedule of up
+//! to that many site faults into every cluster run — throughput under
+//! churn, DESIGN.md §8; `0`, the default, runs fault-free; needs `--k >= 2`
+//! and `--cluster-m >= 8`) `--out <results/<out>.json>` `--quick` `--check`
+//! (exit non-zero unless every events/s is finite and positive). Flag
+//! values the runtime cannot run exit with an `error:` line and code 2.
 //!
 //! Throughput figures reported per (network, scheme):
 //!
@@ -38,7 +38,7 @@
 
 use dsbn_bayes::BayesianNetwork;
 use dsbn_bench::json::Json;
-use dsbn_bench::{json, resolve_networks, Args, LatencyRecorder};
+use dsbn_bench::{json, resolve_networks, usage_error, Args, LatencyRecorder};
 use dsbn_core::{build_tracker, run_cluster_tracker, Scheme, TrackerConfig};
 use dsbn_datagen::TrainingStream;
 use dsbn_monitor::SiteFault;
@@ -52,11 +52,6 @@ struct Record {
     /// Cluster ingest chunk size; `None` for the simulator (whose internal
     /// chunking is bit-identical at any size and not a knob here).
     chunk: Option<u64>,
-    /// Coordinator decode workers (`1` = single-thread coordinator); `None`
-    /// for the simulator. Recorded even when sharding cannot speed anything
-    /// up (e.g. a 1-CPU container), so the sweep documents the machine it
-    /// ran on.
-    coord_workers: Option<u64>,
     events: u64,
     secs: f64,
     events_per_sec: f64,
@@ -78,9 +73,6 @@ impl Record {
             .field("runtime", Json::Str(self.runtime.into()));
         if let Some(chunk) = self.chunk {
             obj = obj.field("chunk", Json::UInt(chunk));
-        }
-        if let Some(w) = self.coord_workers {
-            obj = obj.field("coord_workers", Json::UInt(w));
         }
         obj = obj
             .field("events", Json::UInt(self.events))
@@ -146,7 +138,6 @@ fn sim_record(
         scheme: scheme.name(),
         runtime: "sim",
         chunk: None,
-        coord_workers: None,
         events: m,
         secs,
         events_per_sec: if secs > 0.0 { m as f64 / secs } else { f64::NAN },
@@ -167,7 +158,6 @@ fn cluster_record(
     seed: u64,
     runs: usize,
     chunk: usize,
-    coord_workers: usize,
     churn_faults: usize,
 ) -> Record {
     // Pre-materialize the stream outside the measured window, exactly as
@@ -184,12 +174,8 @@ fn cluster_record(
     // workload and protocol randomness are held fixed. Iteration 0 is an
     // untimed warmup (thread spin-up, first-touch allocation).
     for run in 0..=runs {
-        let mut tc = TrackerConfig::new(scheme)
-            .with_k(k)
-            .with_eps(eps)
-            .with_seed(seed)
-            .with_chunk(chunk)
-            .with_coord_workers(coord_workers);
+        let mut tc =
+            TrackerConfig::new(scheme).with_k(k).with_eps(eps).with_seed(seed).with_chunk(chunk);
         if churn_faults > 0 {
             tc = tc.with_faults(SiteFault::schedule(k, m, churn_faults, seed));
         }
@@ -207,7 +193,6 @@ fn cluster_record(
         scheme: scheme.name(),
         runtime: "cluster",
         chunk: Some(chunk as u64),
-        coord_workers: Some(coord_workers as u64),
         events: report.events,
         secs: median(&walls),
         events_per_sec: median(&rates),
@@ -228,10 +213,9 @@ fn parse_schemes(names: &[String]) -> Vec<Scheme> {
         .map(|name| {
             Scheme::ALL.into_iter().find(|s| s.name() == name.to_ascii_lowercase()).unwrap_or_else(
                 || {
-                    eprintln!(
-                        "error: unknown scheme {name:?} (exact|baseline|uniform|non-uniform)"
-                    );
-                    std::process::exit(2);
+                    usage_error(&format!(
+                        "unknown scheme {name:?} (exact|baseline|uniform|non-uniform)"
+                    ))
                 },
             )
         })
@@ -256,22 +240,29 @@ fn main() {
         .iter()
         .map(|s| {
             s.parse::<usize>().ok().filter(|&c| c >= 1).unwrap_or_else(|| {
-                eprintln!("error: bad chunk size {s:?} (want integers >= 1)");
-                std::process::exit(2);
-            })
-        })
-        .collect();
-    let coord_workers: Vec<usize> = args
-        .get_list("coord-workers", &["1"])
-        .iter()
-        .map(|s| {
-            s.parse::<usize>().ok().filter(|&w| w >= 1).unwrap_or_else(|| {
-                eprintln!("error: bad coord-workers count {s:?} (want integers >= 1)");
-                std::process::exit(2);
+                usage_error(&format!("bad chunk size {s:?} (want integers >= 1)"))
             })
         })
         .collect();
     let churn: usize = args.get("churn", 0usize);
+    if k == 0 {
+        usage_error("--k must be >= 1 (need at least one site)");
+    }
+    if !(eps > 0.0 && eps < 1.0) {
+        usage_error(&format!("--eps {eps} must be in (0, 1)"));
+    }
+    if runs == 0 {
+        usage_error("--runs must be >= 1");
+    }
+    if cluster_m == 0 {
+        usage_error("--cluster-m must be >= 1 (an empty run has no events/s)");
+    }
+    if churn > 0 && k < 2 {
+        usage_error("--churn needs --k >= 2 (at least one site must survive)");
+    }
+    if churn > 0 && cluster_m < 8 {
+        usage_error("--churn needs --cluster-m >= 8");
+    }
     let out = args.get_str("out", "throughput");
 
     let mut records = Vec::new();
@@ -280,16 +271,13 @@ fn main() {
             eprintln!("measuring {} / {} (sim) ...", net.name(), scheme.name());
             records.push(sim_record(net, scheme, m, k, eps, seed, runs));
             for &chunk in &chunks {
-                for &workers in &coord_workers {
-                    eprintln!(
-                        "measuring {} / {} (cluster, chunk {chunk}, coord workers {workers}) ...",
-                        net.name(),
-                        scheme.name()
-                    );
-                    records.push(cluster_record(
-                        net, scheme, cluster_m, k, eps, seed, runs, chunk, workers, churn,
-                    ));
-                }
+                eprintln!(
+                    "measuring {} / {} (cluster, chunk {chunk}) ...",
+                    net.name(),
+                    scheme.name()
+                );
+                records
+                    .push(cluster_record(net, scheme, cluster_m, k, eps, seed, runs, chunk, churn));
             }
         }
     }
@@ -305,27 +293,13 @@ fn main() {
         .field("runs", Json::UInt(runs as u64))
         .field("churn", Json::UInt(churn as u64))
         .field("chunks", Json::Arr(chunks.iter().map(|&c| Json::UInt(c as u64)).collect()))
-        .field(
-            "coord_workers",
-            Json::Arr(coord_workers.iter().map(|&w| Json::UInt(w as u64)).collect()),
-        )
         .field("records", Json::Arr(records.iter().map(Record::to_json).collect()));
     let path = json::emit(&doc, &out);
 
     // Human-readable summary alongside the JSON.
     let mut table = dsbn_bench::Table::new(
         "UPDATE throughput",
-        &[
-            "network",
-            "scheme",
-            "runtime",
-            "chunk",
-            "workers",
-            "events",
-            "events/s",
-            "messages",
-            "bytes/event",
-        ],
+        &["network", "scheme", "runtime", "chunk", "events", "events/s", "messages", "bytes/event"],
     );
     for r in &records {
         let bpe = if r.events == 0 { f64::NAN } else { r.bytes as f64 / r.events as f64 };
@@ -334,7 +308,6 @@ fn main() {
             r.scheme.into(),
             r.runtime.into(),
             r.chunk.map_or_else(|| "-".into(), |c| c.to_string()),
-            r.coord_workers.map_or_else(|| "-".into(), |w| w.to_string()),
             r.events.to_string(),
             format!("{:.0}", r.events_per_sec),
             r.messages.to_string(),

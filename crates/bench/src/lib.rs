@@ -16,7 +16,7 @@ pub mod args;
 pub mod output;
 pub mod runner;
 
-pub use args::Args;
+pub use args::{usage_error, Args};
 pub use output::{json, LatencyRecorder, Table};
 pub use runner::{
     checkpoints_for_scale, cluster_run, sweep_network, sweep_networks, CheckpointRecord,

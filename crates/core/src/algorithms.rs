@@ -32,12 +32,6 @@ pub struct TrackerConfig {
     /// by the synchronous simulator, whose internal training chunks are
     /// bit-identical at any size. `1` is the per-event pipeline.
     pub chunk: usize,
-    /// Coordinator decode workers for the cluster runtime
-    /// (`dsbn_monitor::CoordMode`): `1` — the default — is the
-    /// single-thread coordinator; `> 1` shards coordinator counter state
-    /// by contiguous layout-aligned ranges. Ignored by the synchronous
-    /// simulator; either setting produces bit-identical results.
-    pub coord_workers: usize,
     /// Snapshot publish hub for the cluster runtime: when set, the
     /// coordinator publishes epoch-consistent counter snapshots here at
     /// every settlement and the driver publishes the finalized state at
@@ -78,7 +72,6 @@ impl TrackerConfig {
             partitioner: Partitioner::UniformRandom,
             smoothing: Smoothing::default(),
             chunk: 256,
-            coord_workers: 1,
             publish: None,
             snapshot_every: None,
             faults: Vec::new(),
@@ -121,14 +114,6 @@ impl TrackerConfig {
     pub fn with_chunk(mut self, chunk: usize) -> Self {
         assert!(chunk >= 1, "chunk must be >= 1");
         self.chunk = chunk;
-        self
-    }
-
-    /// Set the cluster coordinator's decode-worker count (`1` keeps the
-    /// single-thread coordinator).
-    pub fn with_coord_workers(mut self, workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one coordinator worker");
-        self.coord_workers = workers;
         self
     }
 

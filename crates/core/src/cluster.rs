@@ -137,10 +137,8 @@ pub struct ClusterTrackerRun {
 /// the `2n` counter increments of Algorithm 2 executed on-site. A
 /// `faults` schedule injects seeded site crash/rejoin churn; the returned
 /// report's `churn` section accounts for every kill, revive, and lost
-/// event. With
-/// `config.coord_workers > 1` the coordinator shards its counter state by
-/// layout-aligned contiguous ranges ([`CounterLayout::shard_starts`]) —
-/// bit-identical results, parallel decode/apply.
+/// event. One coordinator thread applies every update and issues every
+/// broadcast, as in the paper.
 ///
 /// Fails with a typed [`ClusterError`] (never a panic or a hung join) when
 /// a packet fails to decode or the transport errors.
@@ -157,12 +155,6 @@ where
     let mut cluster = ClusterConfig::new(config.k, config.seed).with_chunk(config.chunk);
     cluster.partitioner = config.partitioner;
     cluster.faults = config.faults.clone();
-    if config.coord_workers > 1 {
-        cluster = cluster.with_sharded_coordinator(
-            config.coord_workers,
-            Some(layout.shard_starts(config.coord_workers)),
-        );
-    }
     // Mid-stream snapshots need settlements to mint at: `snapshot_every`
     // turns on epoch rolling at that boundary (with no decay semantics —
     // the cumulative read `settled + open` is what gets served).

@@ -704,12 +704,6 @@ where
     if decay.rolls() {
         cluster = cluster.with_epochs(decay.boundary, decay.ring);
     }
-    if config.coord_workers > 1 {
-        cluster = cluster.with_sharded_coordinator(
-            config.coord_workers,
-            Some(layout.shard_starts(config.coord_workers)),
-        );
-    }
     // Mid-stream serving rides the decay settlements; `snapshot_every` is
     // ignored here (the decay boundary already defines the settlements).
     if let Some(hub) = &config.publish {

@@ -7,7 +7,7 @@
 //! possibly out-of-order message delivery — exactly the conditions the
 //! round-tagged counter protocols are built for. See DESIGN.md for the
 //! thread/channel topology and shutdown protocol, and DESIGN.md §6 for the
-//! transport abstraction and the sharded coordinator.
+//! transport abstraction.
 //!
 //! Ingest is *chunked end to end* (DESIGN.md §2–§3): the driver re-chunks
 //! the incoming [`EventChunk`] stream into per-site chunks of
@@ -23,18 +23,11 @@
 //! arguments of DESIGN.md §3/§5 intact. `chunk = 1` — the default — is the
 //! per-event pipeline as a degenerate case.
 //!
-//! The coordinator itself comes in two shapes ([`CoordMode`]):
-//!
-//! - [`CoordMode::SingleThread`] — one thread decodes every packet and
-//!   applies every update (the baseline; unchanged hot path).
-//! - [`CoordMode::Sharded`] — K shard workers each own a contiguous
-//!   counter range ([`crate::shard::ShardPlan`]) and apply the updates in
-//!   their range, while one control thread keeps the transport order:
-//!   accounting, broadcast fan-out, flush quiescence, and epoch settlement
-//!   all stay on the control thread, so the per-shard FIFO attribution
-//!   argument of DESIGN.md §6 holds and sharded runs are bit-identical to
-//!   single-thread runs on estimates, exact totals, logical message
-//!   counts, and bytes.
+//! The coordinator is one thread, as in the paper: it decodes every
+//! packet, applies every update, and issues every broadcast in transport
+//! arrival order, so round feedback reaches the sites with no extra hop.
+//! Accounting, flush quiescence, epoch settlement, snapshot minting, and
+//! churn bookkeeping all run on that same thread.
 //!
 //! [`MessageStats::bytes`] measures frame bytes that actually crossed a
 //! link; `MessageStats::packets` counts the physical bundled sends (so
@@ -62,13 +55,12 @@
 
 use crate::metrics::MessageStats;
 use crate::partition::{Partitioner, SiteAssigner};
-use crate::shard::ShardPlan;
 use crate::snapshot::{CounterSnapshot, SnapshotHub};
 use crate::transport::{
     ChannelTransport, ClusterError, DownPacket, DownSender, Fabric, Transport, UpPacket, UpSender,
 };
 use bytes::{Bytes, BytesMut};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use dsbn_counters::epoch::EpochRoller;
 use dsbn_counters::msg::{DownMsg, UpMsg};
 use dsbn_counters::protocol::CounterProtocol;
@@ -77,32 +69,7 @@ use dsbn_datagen::EventChunk;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::time::{Duration, Instant};
-
-/// How the coordinator applies decoded updates (DESIGN.md §6).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CoordMode {
-    /// One coordinator thread decodes every packet and applies every
-    /// update — the baseline, and the default.
-    SingleThread,
-    /// `workers` shard threads each own a contiguous counter range and
-    /// apply the updates falling in it, while the control thread retains
-    /// rounds, Flush/FlushAck quiescence, and EpochRoll settlement
-    /// ordering. Bit-identical to [`CoordMode::SingleThread`] on
-    /// estimates, exact totals, logical message counts, and bytes.
-    Sharded {
-        /// Number of shard workers (>= 1; `Sharded { workers: 1, .. }` is
-        /// the degenerate one-shard pipeline, useful for pinning).
-        workers: usize,
-        /// Explicit shard range starts, e.g. aligned to a
-        /// `CounterLayout`'s per-variable blocks (`starts[w]` is the first
-        /// counter id worker `w` owns; must start at 0, be monotone, and
-        /// have one entry per worker). `None` — the default — splits the
-        /// id space evenly.
-        shard_starts: Option<Vec<u32>>,
-    },
-}
 
 /// One injected site fault (fail-stop model, DESIGN.md §8): the stream
 /// driver kills `site` once it has streamed `kill_at` events and — when
@@ -224,9 +191,6 @@ pub struct ClusterConfig {
     /// Closed epochs retained at the coordinator (ring capacity `K`).
     /// Ignored unless `epoch_boundary` is set.
     pub epoch_ring: usize,
-    /// Coordinator shape: single-thread (default) or sharded across
-    /// decode workers.
-    pub coord: CoordMode,
     /// Snapshot publish hub (DESIGN.md §7). When set, the coordinator
     /// mints a [`CounterSnapshot`] at every epoch settlement (so enable
     /// epoch rolling to get mid-stream snapshots) and the driver publishes
@@ -241,7 +205,7 @@ pub struct ClusterConfig {
 
 impl ClusterConfig {
     /// Paper defaults: uniform random routing, per-event chunks, no epoch
-    /// rolling, single-thread coordinator.
+    /// rolling.
     pub fn new(k: usize, seed: u64) -> Self {
         ClusterConfig {
             k,
@@ -252,7 +216,6 @@ impl ClusterConfig {
             flush_bytes: 64 * 1024,
             epoch_boundary: None,
             epoch_ring: 8,
-            coord: CoordMode::SingleThread,
             publish: None,
             faults: Vec::new(),
         }
@@ -273,33 +236,6 @@ impl ClusterConfig {
         assert!(ring >= 1, "epoch ring must be >= 1");
         self.epoch_boundary = Some(boundary);
         self.epoch_ring = ring;
-        self
-    }
-
-    /// Shard coordinator state across `workers` decode workers with an
-    /// even counter split. `workers <= 1` keeps the single-thread
-    /// coordinator (the modes are equivalent; single-thread skips the
-    /// worker hop).
-    pub fn with_coord_workers(mut self, workers: usize) -> Self {
-        self.coord = if workers <= 1 {
-            CoordMode::SingleThread
-        } else {
-            CoordMode::Sharded { workers, shard_starts: None }
-        };
-        self
-    }
-
-    /// Shard the coordinator explicitly — always runs the sharded
-    /// pipeline, even for `workers == 1` (pinning the degenerate shard
-    /// path against the single-thread baseline), with optional explicit
-    /// range starts (e.g. `CounterLayout::shard_starts`).
-    pub fn with_sharded_coordinator(
-        mut self,
-        workers: usize,
-        shard_starts: Option<Vec<u32>>,
-    ) -> Self {
-        assert!(workers >= 1, "need at least one coordinator worker");
-        self.coord = CoordMode::Sharded { workers, shard_starts };
         self
     }
 
@@ -800,16 +736,17 @@ enum SiteStatus {
     Dead,
 }
 
-/// Control-thread core shared by both coordinator shapes: the epoch-roll
+/// The coordinator: all per-counter open-epoch protocol state, decoded and
+/// applied inline in transport arrival order, plus the epoch-roll
 /// machinery (DESIGN.md §5), the closed-epoch settlement ring, the down
-/// links, and all accounting. Everything that must observe packets in
-/// transport arrival order lives here; only per-counter protocol state
-/// (decode + `handle_up`) is delegated to the shape-specific owner.
-struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
+/// links, and all accounting.
+struct Coordinator<'a, P: CounterProtocol, D: DownSender> {
     protocols: &'a [P],
     k: usize,
     ring_cap: usize,
     down_txs: Vec<D>,
+    /// Open-epoch coordinator state, one per counter.
+    coords: Vec<P::Coord>,
     roller: EpochRoller,
     /// Per-counter settlement accumulator for the closing epoch: each
     /// site's ack carries its exact per-epoch counts (the terminal sync
@@ -832,6 +769,9 @@ struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     boundary: u64,
     /// Sequence number of the last minted snapshot.
     snap_seq: u64,
+    /// Reused open-estimate slab for snapshot minting (one bounded
+    /// `snapshot_into` sweep per mint, no per-mint allocation here).
+    snap_buf: Vec<f64>,
     /// Per-site fault-injection lifecycle; all `Alive` on a clean run.
     status: Vec<SiteStatus>,
     /// Revive orders that arrived while the kill was still in flight
@@ -849,15 +789,7 @@ struct CtlCore<'a, P: CounterProtocol, D: DownSender> {
     partial_bytes_discarded: u64,
 }
 
-/// What processing one control packet moved: the epoch rolls to start now
-/// and how many epochs *settled* (closed) while processing it — each
-/// settlement is a valid snapshot cut.
-struct ControlOutcome {
-    rolls: Vec<u32>,
-    closed: u64,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
+impl<'a, P: CounterProtocol, D: DownSender> Coordinator<'a, P, D> {
     fn new(
         protocols: &'a [P],
         k: usize,
@@ -866,11 +798,12 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         hub: Option<SnapshotHub>,
         boundary: u64,
     ) -> Self {
-        CtlCore {
+        Coordinator {
             protocols,
             k,
             ring_cap,
             down_txs,
+            coords: protocols.iter().map(|p| p.new_coord(k)).collect(),
             roller: EpochRoller::new(k),
             settle: vec![0; protocols.len()],
             closed_estimates: VecDeque::new(),
@@ -880,6 +813,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             hub,
             boundary,
             snap_seq: 0,
+            snap_buf: vec![0.0; protocols.len()],
             status: vec![SiteStatus::Alive; k],
             pending_revive: vec![false; k],
             rounds: vec![(0, 1.0); protocols.len()],
@@ -897,127 +831,29 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         self.status.iter().filter(|s| **s != SiteStatus::Dead).count()
     }
 
-    /// Driver-injected kill order: mark the site dying. The kill itself
-    /// rides the driver→site event link in-band (`SiteFeed::Kill`, FIFO
-    /// with the arrivals — exact kill points); this marker only sequences
-    /// revives, deferring any that arrive before the site's terminal
-    /// `Crashed` marker does. A kill for a site already dying or dead is
-    /// a no-op (fail-stop: there is nothing left to kill twice).
-    fn inject_kill(&mut self, site: usize) {
-        if self.status[site] == SiteStatus::Alive {
-            self.status[site] = SiteStatus::Dying;
-        }
-    }
-
-    /// Driver fault injection. Applies a kill immediately; resolves a
-    /// revive into "rejoin now" (`true`, the site is dead), a deferred
-    /// rejoin (kill still in flight — FIFO forbids reviving a site that
-    /// has not finished dying), or a no-op (site never died).
-    fn handle_inject(&mut self, site: usize, kill: bool) -> Result<bool, ClusterError> {
+    /// Driver fault injection. A kill marks the site dying — the kill
+    /// itself rides the driver→site event link in-band (`SiteFeed::Kill`,
+    /// FIFO with the arrivals — exact kill points); this marker only
+    /// sequences revives, deferring any that arrive before the site's
+    /// terminal `Crashed` marker does. A kill for a site already dying or
+    /// dead is a no-op (fail-stop: there is nothing left to kill twice). A
+    /// revive rejoins the site now (it is dead), defers the rejoin (kill
+    /// still in flight — FIFO forbids reviving a site that has not
+    /// finished dying), or is a no-op (site never died).
+    fn handle_inject(&mut self, site: usize, kill: bool) -> Result<(), ClusterError> {
         if site >= self.k {
             return Err(ClusterError::Protocol {
                 context: "fault injection",
                 detail: format!("fault for unknown site {site} (k = {})", self.k),
             });
         }
-        if kill {
-            self.inject_kill(site);
-            return Ok(false);
+        match (kill, self.status[site]) {
+            (true, SiteStatus::Alive) => self.status[site] = SiteStatus::Dying,
+            (false, SiteStatus::Dead) => self.rejoin(site),
+            (false, SiteStatus::Dying) => self.pending_revive[site] = true,
+            _ => {}
         }
-        match self.status[site] {
-            SiteStatus::Dead => Ok(true),
-            SiteStatus::Dying => {
-                self.pending_revive[site] = true;
-                Ok(false)
-            }
-            SiteStatus::Alive => Ok(false),
-        }
-    }
-
-    /// The site's terminal `Crashed` marker arrived (the last packet on
-    /// its FIFO up link — everything the site delivered is already
-    /// applied). Account the torn final packet, if any: the site died
-    /// mid-flush, so the truncated prefix is attributed to it and
-    /// discarded whole — its updates came from local state that was wiped
-    /// into the site's loss ledger, so applying even the decodable part
-    /// would double-count. Marks the site dead in the roll machinery and
-    /// returns whether that completed an in-flight epoch roll (the caller
-    /// must then settle exactly as the site's own ack would have).
-    fn record_crash(&mut self, site: usize, partial: &Bytes) -> Result<bool, ClusterError> {
-        if site >= self.k {
-            return Err(ClusterError::Protocol {
-                context: "crash marker",
-                detail: format!("crash marker from unknown site {site} (k = {})", self.k),
-            });
-        }
-        if self.status[site] == SiteStatus::Dead {
-            return Err(ClusterError::Protocol {
-                context: "crash marker",
-                detail: format!("site {site} crashed twice without a revive"),
-            });
-        }
-        self.status[site] = SiteStatus::Dead;
-        self.kills += 1;
-        if !partial.is_empty() {
-            self.partial_final_packets += 1;
-            self.partial_bytes_discarded += partial.len() as u64;
-        }
-        Ok(self.roller.mark_dead(site))
-    }
-
-    /// Send the revive order with its catch-up payload: one `NewRound`
-    /// frame per counter with an open round (from the round cache), so the
-    /// returning site re-INITs its protocols mid-round. FIFO on the down
-    /// link orders the catch-up ahead of every later broadcast, so the
-    /// site can never observe round `r + 1` before `r`.
-    fn send_revive(&mut self, site: usize) {
-        self.revives += 1;
-        self.status[site] = SiteStatus::Alive;
-        self.pending_revive[site] = false;
-        self.roller.mark_live(site);
-        let mut buf = BytesMut::new();
-        for (c, &(round, p)) in self.rounds.iter().enumerate() {
-            if round > 0 {
-                encode(
-                    &Frame::Down { counter: c as u32, msg: DownMsg::NewRound { round, p } },
-                    &mut buf,
-                );
-            }
-        }
-        self.stats.bytes += buf.len() as u64;
-        let _ = self.down_txs[site].send(DownPacket::Revive(buf.freeze()));
-    }
-
-    /// An epoch roll restarts every protocol at round 0 on fresh state:
-    /// reset the rejoin catch-up cache to match.
-    fn reset_rounds(&mut self) {
-        self.rounds.iter_mut().for_each(|r| *r = (0, 1.0));
-    }
-
-    /// Mint and publish a [`CounterSnapshot`] from the open-epoch
-    /// estimates `open` (the caller exports them from whichever shape owns
-    /// the coordinator state) plus the core's settled accumulators. Called
-    /// only at epoch settlements — the one mid-stream moment the state is
-    /// Definition-2-consistent (DESIGN.md §7). No-op without a hub.
-    fn publish_snapshot(&mut self, open: &[f64]) {
-        let Some(hub) = &self.hub else { return };
-        self.snap_seq += 1;
-        let epochs = self.roller.epochs_closed() as u64;
-        hub.publish(CounterSnapshot {
-            seq: self.snap_seq,
-            events: epochs * self.boundary,
-            epochs,
-            finalized: false,
-            open: open.to_vec(),
-            settled: self.settled_cum.clone(),
-            closed: self.closed_estimates.iter().cloned().collect(),
-            exact: None,
-        });
-    }
-
-    /// Whether settlements should mint snapshots (a hub is attached).
-    fn minting(&self) -> bool {
-        self.hub.is_some()
+        Ok(())
     }
 
     /// Send an encoded down payload to every site, accounting its bytes
@@ -1043,16 +879,6 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         self.send_down_all(buf.freeze());
     }
 
-    /// Broadcast `EpochRoll` (a control frame: bytes only, and it counts
-    /// toward `downs_since_flush` so the quiescence handshake waits for
-    /// the acks it will trigger).
-    fn broadcast_roll(&mut self, epoch: u32) {
-        self.downs_since_flush += 1;
-        let mut buf = BytesMut::new();
-        encode(&Frame::EpochRoll { epoch }, &mut buf);
-        self.send_down_all(buf.freeze());
-    }
-
     /// Send a flush barrier down every site link.
     fn send_flush(&mut self, epoch: u64) {
         for tx in &mut self.down_txs {
@@ -1060,12 +886,130 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         }
     }
 
-    /// The driver crossed an epoch boundary. Returns the epoch to start
-    /// closing now (the caller resets open-epoch protocol state and
-    /// broadcasts the roll), or `None` when one is already in flight (the
-    /// request queues inside the roller).
-    fn request_roll(&mut self) -> Option<u32> {
-        self.roller.request()
+    /// Apply one decoded counter update from `site`. Updates from a site
+    /// that has not yet acked the in-flight roll were sent before it
+    /// rolled (FIFO links make this attribution exact) and belong to the
+    /// *closing* epoch: they are counted but dropped, because the site's
+    /// settlement — its exact per-epoch counts, carried by the ack that
+    /// follows them — supersedes anything they could contribute. A closing
+    /// epoch cannot keep running its protocol: a sync is a global barrier,
+    /// and sites already in the new epoch would answer a cross-epoch sync
+    /// as stale, wedging it forever.
+    fn apply_update(&mut self, site: usize, cid: u32, up: UpMsg) -> Result<(), ClusterError> {
+        let c = cid as usize;
+        if c >= self.protocols.len() {
+            return Err(ClusterError::Protocol {
+                context: "up packet",
+                detail: format!("counter {cid} out of range ({} counters)", self.protocols.len()),
+            });
+        }
+        self.stats.up_messages += 1;
+        if self.roller.is_stale(site) {
+            return Ok(());
+        }
+        if let Some(down) = self.protocols[c].handle_up(&mut self.coords[c], site, up) {
+            self.issue_broadcast(cid, down);
+        }
+        Ok(())
+    }
+
+    /// One multi-event update packet from `site`, decoded in a single
+    /// allocation-free pass over the buffer.
+    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
+        if site >= self.k {
+            return Err(ClusterError::Protocol {
+                context: "up packet",
+                detail: format!("packet from unknown site {site} (k = {})", self.k),
+            });
+        }
+        self.stats.packets += 1;
+        self.stats.bytes += payload.len() as u64;
+        let mut err: Option<ClusterError> = None;
+        let res = visit_packet(payload, |item| {
+            if err.is_some() {
+                return;
+            }
+            match item {
+                WireItem::Up { counter, msg } => {
+                    if let Err(e) = self.apply_update(site, counter, msg) {
+                        err = Some(e);
+                    }
+                }
+                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
+                    err = Some(ClusterError::Protocol {
+                        context: "up packet",
+                        detail: format!("down frame from site {site} on the up path"),
+                    });
+                }
+                WireItem::EpochAck { .. } => {
+                    err = Some(ClusterError::Protocol {
+                        context: "up packet",
+                        detail: format!("epoch ack from site {site} outside a control packet"),
+                    });
+                }
+            }
+        });
+        if let Some(e) = err {
+            return Err(e);
+        }
+        res.map_err(|source| ClusterError::Wire { context: "up packet", site: Some(site), source })
+    }
+
+    /// Mint and publish a [`CounterSnapshot`] from the current open
+    /// estimates plus the settled accumulators. Called only at epoch
+    /// settlements — the one mid-stream moment the state is
+    /// Definition-2-consistent (DESIGN.md §7). No-op without a hub.
+    fn mint(&mut self) {
+        let Some(hub) = &self.hub else { return };
+        dsbn_counters::protocol::snapshot_into(self.protocols, &self.coords, &mut self.snap_buf);
+        self.snap_seq += 1;
+        let epochs = self.roller.epochs_closed() as u64;
+        hub.publish(CounterSnapshot {
+            seq: self.snap_seq,
+            events: epochs * self.boundary,
+            epochs,
+            finalized: false,
+            open: self.snap_buf.clone(),
+            settled: self.settled_cum.clone(),
+            closed: self.closed_estimates.iter().cloned().collect(),
+            exact: None,
+        });
+    }
+
+    /// Begin closing `epoch`: swap in fresh open-epoch coordinators (the
+    /// old states are superseded by the incoming settlements), reset the
+    /// rejoin catch-up cache (every protocol restarts at round 0), and
+    /// broadcast `EpochRoll` — a control frame: bytes only, and it counts
+    /// toward `downs_since_flush` so the quiescence handshake waits for
+    /// the acks it will trigger.
+    fn start_roll(&mut self, epoch: u32) {
+        self.coords = self.protocols.iter().map(|p| p.new_coord(self.k)).collect();
+        self.rounds.iter_mut().for_each(|r| *r = (0, 1.0));
+        // Fresh coordinator banks assume all k sites contribute: re-forget
+        // the dead roster. A fresh bank has no sync or report in flight,
+        // so the forget can never need to broadcast.
+        for site in 0..self.k {
+            if self.status[site] == SiteStatus::Dead {
+                for (c, p) in self.protocols.iter().enumerate() {
+                    let down = p.site_crashed(&mut self.coords[c], site);
+                    debug_assert!(down.is_none(), "crash-forget on fresh state broadcast");
+                }
+            }
+        }
+        self.downs_since_flush += 1;
+        let mut buf = BytesMut::new();
+        encode(&Frame::EpochRoll { epoch }, &mut buf);
+        self.send_down_all(buf.freeze());
+    }
+
+    /// The driver crossed an epoch boundary: start closing the next epoch,
+    /// unless one is already in flight (the request then queues inside the
+    /// roller).
+    fn request_roll(&mut self) {
+        if let Some(epoch) = self.roller.request() {
+            self.start_roll(epoch);
+            self.settle_instant_rolls();
+        }
     }
 
     /// All sites acked: the epoch is settled — freeze the summed
@@ -1084,18 +1028,104 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
         self.roller.finish()
     }
 
+    /// A roll whose every non-dead site has already acked — which happens
+    /// the moment it starts when *all* sites are dead (the roller pre-fills
+    /// the dead roster) — settles immediately, exactly as a final ack
+    /// would have; chained for queued requests.
+    fn settle_instant_rolls(&mut self) {
+        while self.roller.rolling() && self.roller.all_acked() {
+            self.mint();
+            match self.close_epoch() {
+                Some(next) => self.start_roll(next),
+                None => break,
+            }
+        }
+    }
+
+    /// A site's terminal `Crashed` marker (the last packet on its FIFO up
+    /// link — everything the site delivered is already applied). Account
+    /// the torn final packet, if any: the site died mid-flush, so the
+    /// truncated prefix is attributed to it and discarded whole — its
+    /// updates came from local state that was wiped into the site's loss
+    /// ledger, so applying even the decodable part would double-count.
+    /// Then complete any roll the site was the last holdout of (mint +
+    /// settle *before* forgetting, exactly as its own ack would have — the
+    /// settlement reflects what every site actually reported), forget the
+    /// dead site's contribution in every open-epoch counter, and apply a
+    /// revive that arrived while the kill was still in flight.
+    fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
+        if site >= self.k {
+            return Err(ClusterError::Protocol {
+                context: "crash marker",
+                detail: format!("crash marker from unknown site {site} (k = {})", self.k),
+            });
+        }
+        if self.status[site] == SiteStatus::Dead {
+            return Err(ClusterError::Protocol {
+                context: "crash marker",
+                detail: format!("site {site} crashed twice without a revive"),
+            });
+        }
+        self.status[site] = SiteStatus::Dead;
+        self.kills += 1;
+        if !partial.is_empty() {
+            self.partial_final_packets += 1;
+            self.partial_bytes_discarded += partial.len() as u64;
+        }
+        if self.roller.mark_dead(site) {
+            self.mint();
+            if let Some(next) = self.close_epoch() {
+                self.start_roll(next);
+            }
+            self.settle_instant_rolls();
+        }
+        for (c, p) in self.protocols.iter().enumerate() {
+            if let Some(down) = p.site_crashed(&mut self.coords[c], site) {
+                self.issue_broadcast(c as u32, down);
+            }
+        }
+        if self.pending_revive[site] {
+            self.rejoin(site);
+        }
+        Ok(())
+    }
+
+    /// Re-admit a dead site: give every counter protocol its rejoin hook
+    /// (returns are discarded — the hook's announcement is the current
+    /// round, which the catch-up payload below already carries, so
+    /// re-broadcasting it to the whole cluster would only be redundant
+    /// traffic), then send the revive order with its catch-up payload: one
+    /// `NewRound` frame per counter with an open round (from the round
+    /// cache), so the returning site re-INITs its protocols mid-round.
+    /// FIFO on the down link orders the catch-up ahead of every later
+    /// broadcast, so the site can never observe round `r + 1` before `r`.
+    fn rejoin(&mut self, site: usize) {
+        for (c, p) in self.protocols.iter().enumerate() {
+            let _ = p.rejoin_site(&mut self.coords[c], site);
+        }
+        self.revives += 1;
+        self.status[site] = SiteStatus::Alive;
+        self.pending_revive[site] = false;
+        self.roller.mark_live(site);
+        let mut buf = BytesMut::new();
+        for (c, &(round, p)) in self.rounds.iter().enumerate() {
+            if round > 0 {
+                encode(
+                    &Frame::Down { counter: c as u32, msg: DownMsg::NewRound { round, p } },
+                    &mut buf,
+                );
+            }
+        }
+        self.stats.bytes += buf.len() as u64;
+        let _ = self.down_txs[site].send(DownPacket::Revive(buf.freeze()));
+    }
+
     /// One control packet from `site`: the site's settlement — exact
     /// per-epoch counts as `Cumulative` frames for its nonzero counters —
     /// followed by its `Frame::EpochAck`. Bytes count, packet/message
-    /// tallies do not (lifecycle traffic, DESIGN.md §4). Returns the
-    /// epochs whose rolls must start now (completing an ack can release a
-    /// queued roll) plus how many epochs settled — each settlement is a
-    /// snapshot cut the caller must mint at *before* starting the rolls.
-    fn handle_control(
-        &mut self,
-        site: usize,
-        payload: Bytes,
-    ) -> Result<ControlOutcome, ClusterError> {
+    /// tallies do not (lifecycle traffic, DESIGN.md §4). Completing an ack
+    /// settles the epoch and can release a queued roll.
+    fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
         if site >= self.k {
             return Err(ClusterError::Protocol {
                 context: "control packet",
@@ -1159,13 +1189,23 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             site: Some(site),
             source,
         })?;
-        Ok(ControlOutcome { rolls, closed })
+        // An epoch settled while processing this packet: mint a snapshot
+        // at the settlement, *before* any queued roll resets the open
+        // coordinators — the open estimates still belong to the epoch the
+        // snapshot's readers will see as open.
+        if closed > 0 {
+            self.mint();
+        }
+        for epoch in rolls {
+            self.start_roll(epoch);
+        }
+        self.settle_instant_rolls();
+        Ok(())
     }
 
     /// Close out the run into a [`CoordOut`].
     fn finish(
         self,
-        estimates: Vec<f64>,
         first_packet: Option<Instant>,
         last_packet: Instant,
         flush_epochs: u64,
@@ -1175,7 +1215,12 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
             closed_estimates: self.closed_estimates.into_iter().collect(),
             settled_totals: self.settled_cum,
             stats: self.stats,
-            estimates,
+            estimates: self
+                .coords
+                .iter()
+                .zip(self.protocols)
+                .map(|(co, p)| p.estimate(co))
+                .collect(),
             busy: match first_packet {
                 Some(f) => last_packet.duration_since(f),
                 None => Duration::ZERO,
@@ -1189,7 +1234,7 @@ impl<'a, P: CounterProtocol, D: DownSender> CtlCore<'a, P, D> {
     }
 }
 
-/// What a coordinator (either shape) hands back to the driver.
+/// What the coordinator hands back to the driver.
 struct CoordOut {
     stats: MessageStats,
     estimates: Vec<f64>,
@@ -1204,675 +1249,8 @@ struct CoordOut {
     partial_bytes_discarded: u64,
 }
 
-/// Single-thread coordinator: the control core plus all per-counter
-/// open-epoch protocol state, decoded and applied inline.
-struct InlineCoord<'a, P: CounterProtocol, D: DownSender> {
-    core: CtlCore<'a, P, D>,
-    /// Open-epoch coordinator state, one per counter.
-    coords: Vec<P::Coord>,
-    /// Reused open-estimate slab for snapshot minting (one bounded
-    /// `snapshot_into` sweep per mint, no per-mint allocation here).
-    snap_buf: Vec<f64>,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> InlineCoord<'a, P, D> {
-    fn new(
-        protocols: &'a [P],
-        k: usize,
-        ring_cap: usize,
-        down_txs: Vec<D>,
-        hub: Option<SnapshotHub>,
-        boundary: u64,
-    ) -> Self {
-        InlineCoord {
-            core: CtlCore::new(protocols, k, ring_cap, down_txs, hub, boundary),
-            coords: protocols.iter().map(|p| p.new_coord(k)).collect(),
-            snap_buf: vec![0.0; protocols.len()],
-        }
-    }
-
-    /// Apply one decoded counter update from `site`. Updates from a site
-    /// that has not yet acked the in-flight roll were sent before it
-    /// rolled (FIFO links make this attribution exact) and belong to the
-    /// *closing* epoch: they are counted but dropped, because the site's
-    /// settlement — its exact per-epoch counts, carried by the ack that
-    /// follows them — supersedes anything they could contribute. A closing
-    /// epoch cannot keep running its protocol: a sync is a global barrier,
-    /// and sites already in the new epoch would answer a cross-epoch sync
-    /// as stale, wedging it forever.
-    fn apply_update(&mut self, site: usize, cid: u32, up: UpMsg) -> Result<(), ClusterError> {
-        let c = cid as usize;
-        if c >= self.core.protocols.len() {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!(
-                    "counter {cid} out of range ({} counters)",
-                    self.core.protocols.len()
-                ),
-            });
-        }
-        self.core.stats.up_messages += 1;
-        if self.core.roller.is_stale(site) {
-            return Ok(());
-        }
-        if let Some(down) = self.core.protocols[c].handle_up(&mut self.coords[c], site, up) {
-            self.core.issue_broadcast(cid, down);
-        }
-        Ok(())
-    }
-
-    /// One multi-event update packet from `site`, decoded in a single
-    /// allocation-free pass over the buffer.
-    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        if site >= self.core.k {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!("packet from unknown site {site} (k = {})", self.core.k),
-            });
-        }
-        self.core.stats.packets += 1;
-        self.core.stats.bytes += payload.len() as u64;
-        let mut err: Option<ClusterError> = None;
-        let res = visit_packet(payload, |item| {
-            if err.is_some() {
-                return;
-            }
-            match item {
-                WireItem::Up { counter, msg } => {
-                    if let Err(e) = self.apply_update(site, counter, msg) {
-                        err = Some(e);
-                    }
-                }
-                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("down frame from site {site} on the up path"),
-                    });
-                }
-                WireItem::EpochAck { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("epoch ack from site {site} outside a control packet"),
-                    });
-                }
-            }
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        res.map_err(|source| ClusterError::Wire { context: "up packet", site: Some(site), source })
-    }
-
-    /// Mint and publish a snapshot from the current open estimates (no-op
-    /// without a hub).
-    fn mint(&mut self) {
-        if !self.core.minting() {
-            return;
-        }
-        dsbn_counters::protocol::snapshot_into(
-            self.core.protocols,
-            &self.coords,
-            &mut self.snap_buf,
-        );
-        self.core.publish_snapshot(&self.snap_buf);
-    }
-
-    /// Begin closing `epoch`: swap in fresh open-epoch coordinators (the
-    /// old states are superseded by the incoming settlements) and
-    /// broadcast `EpochRoll`.
-    fn start_roll(&mut self, epoch: u32) {
-        self.coords = self.core.protocols.iter().map(|p| p.new_coord(self.core.k)).collect();
-        self.core.reset_rounds();
-        // Fresh coordinator banks assume all k sites contribute: re-forget
-        // the dead roster. A fresh bank has no sync or report in flight,
-        // so the forget can never need to broadcast.
-        for site in 0..self.core.k {
-            if self.core.status[site] == SiteStatus::Dead {
-                for (c, p) in self.core.protocols.iter().enumerate() {
-                    let down = p.site_crashed(&mut self.coords[c], site);
-                    debug_assert!(down.is_none(), "crash-forget on fresh state broadcast");
-                }
-            }
-        }
-        self.core.broadcast_roll(epoch);
-    }
-
-    fn request_roll(&mut self) {
-        if let Some(epoch) = self.core.request_roll() {
-            self.start_roll(epoch);
-            self.settle_instant_rolls();
-        }
-    }
-
-    /// A roll whose every non-dead site has already acked — which happens
-    /// the moment it starts when *all* sites are dead (the roller pre-fills
-    /// the dead roster) — settles immediately, exactly as a final ack
-    /// would have; chained for queued requests.
-    fn settle_instant_rolls(&mut self) {
-        while self.core.roller.rolling() && self.core.roller.all_acked() {
-            self.mint();
-            match self.core.close_epoch() {
-                Some(next) => self.start_roll(next),
-                None => break,
-            }
-        }
-    }
-
-    /// A site's terminal `Crashed` marker: complete any roll it was the
-    /// last holdout of (mint + settle *before* forgetting, exactly as its
-    /// own ack would have — the settlement reflects what every site
-    /// actually reported), then forget the dead site's contribution in
-    /// every open-epoch counter, then apply a revive that arrived while
-    /// the kill was still in flight.
-    fn handle_crashed(&mut self, site: usize, partial: Bytes) -> Result<(), ClusterError> {
-        let completed = self.core.record_crash(site, &partial)?;
-        if completed {
-            self.mint();
-            if let Some(next) = self.core.close_epoch() {
-                self.start_roll(next);
-            }
-            self.settle_instant_rolls();
-        }
-        for (c, p) in self.core.protocols.iter().enumerate() {
-            if let Some(down) = p.site_crashed(&mut self.coords[c], site) {
-                self.core.issue_broadcast(c as u32, down);
-            }
-        }
-        if self.core.pending_revive[site] {
-            self.rejoin(site);
-        }
-        Ok(())
-    }
-
-    /// Re-admit a dead site: give every counter protocol its rejoin hook
-    /// (returns are discarded — the hook's announcement is the current
-    /// round, which the revive catch-up payload below already carries, so
-    /// re-broadcasting it to the whole cluster would only be redundant
-    /// traffic), then send the revive order down the site's link.
-    fn rejoin(&mut self, site: usize) {
-        for (c, p) in self.core.protocols.iter().enumerate() {
-            let _ = p.rejoin_site(&mut self.coords[c], site);
-        }
-        self.core.send_revive(site);
-    }
-
-    fn handle_control(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        let outcome = self.core.handle_control(site, payload)?;
-        // An epoch settled while processing this packet: mint a snapshot
-        // at the settlement, *before* any queued roll resets the open
-        // coordinators — the open estimates still belong to the epoch the
-        // snapshot's readers will see as open.
-        if outcome.closed > 0 {
-            self.mint();
-        }
-        for epoch in outcome.rolls {
-            self.start_roll(epoch);
-        }
-        self.settle_instant_rolls();
-        Ok(())
-    }
-}
-
-/// Capacity of each control-thread → shard-worker queue. Deliberately
-/// shallow (see the spawn site): worker lag directly delays round
-/// feedback to the sites, so the queue bounds how far sites can run ahead
-/// of the protocol state, keeping sharded message counts in the
-/// single-thread band.
-const WORKER_QUEUE: usize = 16;
-
-/// Control thread → shard worker traffic. Every worker receives every
-/// update packet (decode is shared, application is sharded — the packet
-/// payload is an `Arc`'d [`Bytes`], so the fan-out clones are O(1)), plus
-/// the two ordering marks the control thread injects: `Roll` at exactly
-/// the point the open epoch's state must reset, and `Barrier` during the
-/// quiescence handshake.
-enum WorkerMsg {
-    Updates {
-        site: usize,
-        payload: Bytes,
-        /// Whether the control thread's roller attributed this packet to
-        /// the closing epoch at forwarding time (the roller only moves on
-        /// control packets, which are strictly ordered against update
-        /// packets in the merged inbox — so this equals what the
-        /// single-thread coordinator would have computed at apply time).
-        stale: bool,
-    },
-    Roll,
-    Barrier,
-    /// Snapshot mark (DESIGN.md §7): export the shard's open-epoch
-    /// estimates *at this point in the forwarded packet sequence* and
-    /// reply with [`WorkerReply::Estimates`]. The control thread injects
-    /// it at an epoch settlement, before the next `Roll`, so the slice
-    /// reflects exactly the packets a single-thread coordinator would
-    /// have applied when minting.
-    Snapshot,
-    /// Site crashed: forget its contribution in this shard's open-epoch
-    /// state at exactly this point in the forwarded packet sequence (the
-    /// control thread injects it when the `Crashed` marker lands, after
-    /// any roll/mint the marker completed — the same mint-before-forget
-    /// order as the inline coordinator).
-    Crashed {
-        site: usize,
-    },
-    /// Site rejoined after a crash (mirror of `Crashed`).
-    Rejoined {
-        site: usize,
-    },
-}
-
-/// Shard worker → control thread replies (one shared unbounded channel, so
-/// workers never block and the control thread can always drain).
-#[derive(Debug)]
-enum WorkerReply {
-    /// A `handle_up` produced a broadcast; the control thread issues it
-    /// (accounting + fan-out stay in transport order on one thread).
-    Broadcast { counter: u32, msg: DownMsg },
-    /// All messages before the barrier have been applied.
-    BarrierAck,
-    /// This shard's open-epoch estimates at a `Snapshot` mark — one
-    /// `CounterLayout`-aligned slice of the snapshot the control thread
-    /// is assembling.
-    Estimates { worker: usize, estimates: Vec<f64> },
-    /// This worker hit a decode/protocol error; the run must abort.
-    Fault(ClusterError),
-    /// Final shard estimates + accounting, sent when the msg channel
-    /// disconnects.
-    Final { worker: usize, up_messages: u64, estimates: Vec<f64> },
-}
-
-/// One shard worker: owns the open-epoch coordinator state for the
-/// contiguous counter range `range`, applies exactly the updates falling
-/// in it, and reports broadcasts/faults/estimates on the shared reply
-/// channel.
-struct ShardWorker<'a, P: CounterProtocol> {
-    protocols: &'a [P],
-    k: usize,
-    worker: usize,
-    range: Range<usize>,
-    /// Open-epoch coordinator state for `range` (index `i` holds counter
-    /// `range.start + i`).
-    coords: Vec<P::Coord>,
-    /// Paper-accounting share: updates this shard owns (counted even when
-    /// stale-dropped, mirroring the single-thread coordinator).
-    up_messages: u64,
-    /// Crashed-site roster: re-forgotten on every `Roll` (fresh banks
-    /// assume all k sites contribute), exactly as the inline coordinator's
-    /// `start_roll` re-applies its dead roster.
-    dead_sites: Vec<bool>,
-    reply_tx: Sender<WorkerReply>,
-    /// After a fault this worker keeps draining its queue (acking
-    /// barriers) so the control thread can never block on a full worker
-    /// channel, but applies nothing further.
-    poisoned: bool,
-}
-
-impl<P: CounterProtocol> ShardWorker<'_, P> {
-    fn fault(&mut self, error: ClusterError) {
-        let _ = self.reply_tx.send(WorkerReply::Fault(error));
-        self.poisoned = true;
-    }
-
-    /// Forget a crashed site in this shard's open-epoch state; any
-    /// broadcast the forget triggers (e.g. HYZ completing a sync the dead
-    /// site was the last holdout of) is issued by the control thread like
-    /// any other reply.
-    fn forget_site(&mut self, site: usize) {
-        for (i, c) in self.range.clone().enumerate() {
-            if let Some(down) = self.protocols[c].site_crashed(&mut self.coords[i], site) {
-                let _ = self.reply_tx.send(WorkerReply::Broadcast { counter: c as u32, msg: down });
-            }
-        }
-    }
-
-    fn handle_updates(&mut self, site: usize, payload: Bytes, stale: bool) {
-        let mut err: Option<ClusterError> = None;
-        let res = visit_packet(payload, |item| {
-            if err.is_some() {
-                return;
-            }
-            match item {
-                WireItem::Up { counter, msg } => {
-                    let c = counter as usize;
-                    if c >= self.protocols.len() {
-                        err = Some(ClusterError::Protocol {
-                            context: "up packet",
-                            detail: format!(
-                                "counter {counter} out of range ({} counters)",
-                                self.protocols.len()
-                            ),
-                        });
-                        return;
-                    }
-                    if !self.range.contains(&c) {
-                        return;
-                    }
-                    self.up_messages += 1;
-                    if stale {
-                        return;
-                    }
-                    let i = c - self.range.start;
-                    if let Some(down) = self.protocols[c].handle_up(&mut self.coords[i], site, msg)
-                    {
-                        let _ = self.reply_tx.send(WorkerReply::Broadcast { counter, msg: down });
-                    }
-                }
-                WireItem::Down { .. } | WireItem::EpochRoll { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("down frame from site {site} on the up path"),
-                    });
-                }
-                WireItem::EpochAck { .. } => {
-                    err = Some(ClusterError::Protocol {
-                        context: "up packet",
-                        detail: format!("epoch ack from site {site} outside a control packet"),
-                    });
-                }
-            }
-        });
-        if let Some(e) = err {
-            self.fault(e);
-            return;
-        }
-        if let Err(source) = res {
-            self.fault(ClusterError::Wire { context: "up packet", site: Some(site), source });
-        }
-    }
-
-    fn run(mut self, rx: Receiver<WorkerMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                WorkerMsg::Updates { site, payload, stale } => {
-                    if !self.poisoned {
-                        self.handle_updates(site, payload, stale);
-                    }
-                }
-                WorkerMsg::Roll => {
-                    if !self.poisoned {
-                        for (i, c) in self.range.clone().enumerate() {
-                            self.coords[i] = self.protocols[c].new_coord(self.k);
-                        }
-                        // Fresh banks assume all k sites contribute:
-                        // re-forget the dead roster (never broadcasts on
-                        // fresh state — no sync can be in flight).
-                        for site in 0..self.k {
-                            if self.dead_sites[site] {
-                                self.forget_site(site);
-                            }
-                        }
-                    }
-                }
-                WorkerMsg::Crashed { site } => {
-                    if !self.poisoned {
-                        self.dead_sites[site] = true;
-                        self.forget_site(site);
-                    }
-                }
-                WorkerMsg::Rejoined { site } => {
-                    if !self.poisoned {
-                        self.dead_sites[site] = false;
-                        // Returns discarded, as in the inline coordinator:
-                        // the revive catch-up payload already announces the
-                        // current round to the rejoining site.
-                        for (i, c) in self.range.clone().enumerate() {
-                            let _ = self.protocols[c].rejoin_site(&mut self.coords[i], site);
-                        }
-                    }
-                }
-                WorkerMsg::Barrier => {
-                    let _ = self.reply_tx.send(WorkerReply::BarrierAck);
-                }
-                WorkerMsg::Snapshot => {
-                    // Reply even when poisoned (the control thread sees
-                    // our Fault first on the per-producer-FIFO reply
-                    // channel and aborts; an unanswered mark could
-                    // otherwise wedge the mint collection).
-                    let mut estimates = vec![0.0; self.range.len()];
-                    dsbn_counters::protocol::snapshot_into(
-                        &self.protocols[self.range.clone()],
-                        &self.coords,
-                        &mut estimates,
-                    );
-                    let _ = self
-                        .reply_tx
-                        .send(WorkerReply::Estimates { worker: self.worker, estimates });
-                }
-            }
-        }
-        // Msg channel disconnected: the run is over — report this shard's
-        // estimates and accounting share.
-        let mut estimates = vec![0.0; self.range.len()];
-        dsbn_counters::protocol::snapshot_into(
-            &self.protocols[self.range.clone()],
-            &self.coords,
-            &mut estimates,
-        );
-        let _ = self.reply_tx.send(WorkerReply::Final {
-            worker: self.worker,
-            up_messages: self.up_messages,
-            estimates,
-        });
-    }
-}
-
-/// Sharded coordinator control thread: the control core plus the worker
-/// fan-out. Packets are forwarded to every worker in transport arrival
-/// order; broadcasts come back as replies and are issued (accounted +
-/// fanned out) here, on the one thread that owns the down links.
-struct ShardedCoord<'a, P: CounterProtocol, D: DownSender> {
-    core: CtlCore<'a, P, D>,
-    worker_txs: Vec<Sender<WorkerMsg>>,
-}
-
-impl<'a, P: CounterProtocol, D: DownSender> ShardedCoord<'a, P, D> {
-    fn handle_updates(&mut self, site: usize, payload: Bytes) -> Result<(), ClusterError> {
-        if site >= self.core.k {
-            return Err(ClusterError::Protocol {
-                context: "up packet",
-                detail: format!("packet from unknown site {site} (k = {})", self.core.k),
-            });
-        }
-        self.core.stats.packets += 1;
-        self.core.stats.bytes += payload.len() as u64;
-        // The roller can only move on control packets, which this thread
-        // serializes against update packets — so one staleness tag per
-        // packet is exactly the per-update value the single-thread
-        // coordinator computes.
-        let stale = self.core.roller.is_stale(site);
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Updates { site, payload: payload.clone(), stale });
-        }
-        Ok(())
-    }
-
-    /// Begin closing `epoch`: a `Roll` mark in every worker's (FIFO)
-    /// queue resets shard state at exactly this point in the packet
-    /// sequence, then the roll broadcast goes down.
-    fn start_roll(&mut self, epoch: u32) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Roll);
-        }
-        self.core.reset_rounds();
-        self.core.broadcast_roll(epoch);
-    }
-
-    fn request_roll(
-        &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        if let Some(epoch) = self.core.request_roll() {
-            self.start_roll(epoch);
-            self.settle_instant_rolls(plan, reply_rx)?;
-        }
-        Ok(())
-    }
-
-    /// Sharded twin of the inline coordinator's `settle_instant_rolls`:
-    /// with every site dead a freshly started roll is already fully acked.
-    fn settle_instant_rolls(
-        &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        while self.core.roller.rolling() && self.core.roller.all_acked() {
-            if self.core.minting() {
-                self.mint_snapshot(plan, reply_rx)?;
-            }
-            match self.core.close_epoch() {
-                Some(next) => self.start_roll(next),
-                None => break,
-            }
-        }
-        Ok(())
-    }
-
-    /// Sharded twin of the inline coordinator's `handle_crashed`. The
-    /// `Crashed` forget mark goes down the worker queues *after* any
-    /// roll/mint the marker completed, preserving the mint-before-forget
-    /// order (the minted snapshot reflects pre-crash state, exactly as a
-    /// single-thread coordinator would observe it).
-    fn handle_crashed(
-        &mut self,
-        site: usize,
-        partial: Bytes,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        let completed = self.core.record_crash(site, &partial)?;
-        if completed {
-            if self.core.minting() {
-                self.mint_snapshot(plan, reply_rx)?;
-            }
-            if let Some(next) = self.core.close_epoch() {
-                self.start_roll(next);
-            }
-            self.settle_instant_rolls(plan, reply_rx)?;
-        }
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Crashed { site });
-        }
-        if self.core.pending_revive[site] {
-            self.rejoin(site);
-        }
-        Ok(())
-    }
-
-    /// Re-admit a dead site: the rejoin mark goes down every worker's
-    /// FIFO queue, then the revive order (with its mid-round catch-up)
-    /// goes down the site's link.
-    fn rejoin(&mut self, site: usize) {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Rejoined { site });
-        }
-        self.core.send_revive(site);
-    }
-
-    fn handle_control(
-        &mut self,
-        site: usize,
-        payload: Bytes,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        let outcome = self.core.handle_control(site, payload)?;
-        // Mint at the settlement, before any queued roll resets shard
-        // state (mirrors the inline coordinator's ordering exactly).
-        if outcome.closed > 0 && self.core.minting() {
-            self.mint_snapshot(plan, reply_rx)?;
-        }
-        for epoch in outcome.rolls {
-            self.start_roll(epoch);
-        }
-        self.settle_instant_rolls(plan, reply_rx)
-    }
-
-    /// Assemble and publish a snapshot from the shard workers: a
-    /// `Snapshot` mark goes down every worker's FIFO queue (so each shard
-    /// exports its state at exactly this point in the forwarded packet
-    /// sequence), then the control thread collects the K
-    /// `CounterLayout`-aligned slices into one open-estimate slab —
-    /// issuing any interleaved broadcast replies while it waits, exactly
-    /// as the flush-barrier collection does — and publishes. Workers
-    /// never block on the unbounded reply channel, so the wait cannot
-    /// deadlock; it only stalls ingest for the bounded K-reply exchange.
-    fn mint_snapshot(
-        &mut self,
-        plan: &ShardPlan,
-        reply_rx: &Receiver<WorkerReply>,
-    ) -> Result<(), ClusterError> {
-        for tx in &self.worker_txs {
-            let _ = tx.send(WorkerMsg::Snapshot);
-        }
-        let mut open = vec![0.0; self.core.protocols.len()];
-        let mut slices = 0usize;
-        while slices < self.worker_txs.len() {
-            match reply_rx.recv() {
-                Ok(WorkerReply::Broadcast { counter, msg }) => {
-                    self.core.issue_broadcast(counter, msg)
-                }
-                Ok(WorkerReply::Estimates { worker, estimates }) => {
-                    let range = plan.range(worker);
-                    if estimates.len() != range.len() {
-                        return Err(ClusterError::Protocol {
-                            context: "sharded coordinator",
-                            detail: format!(
-                                "worker {worker} snapshotted {} estimates for a {}-counter shard",
-                                estimates.len(),
-                                range.len()
-                            ),
-                        });
-                    }
-                    open[range].copy_from_slice(&estimates);
-                    slices += 1;
-                }
-                Ok(WorkerReply::Fault(e)) => return Err(e),
-                Ok(other) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: format!("unexpected worker reply {other:?} during a snapshot"),
-                    })
-                }
-                Err(_) => {
-                    return Err(ClusterError::Transport(
-                        "coordinator worker disconnected mid-run".into(),
-                    ))
-                }
-            }
-        }
-        self.core.publish_snapshot(&open);
-        Ok(())
-    }
-
-    fn handle_reply(&mut self, reply: Result<WorkerReply, RecvError>) -> Result<(), ClusterError> {
-        match reply {
-            Ok(WorkerReply::Broadcast { counter, msg }) => {
-                self.core.issue_broadcast(counter, msg);
-                Ok(())
-            }
-            Ok(WorkerReply::Fault(e)) => Err(e),
-            Ok(WorkerReply::BarrierAck) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "barrier ack outside a flush barrier".into(),
-            }),
-            Ok(WorkerReply::Estimates { .. }) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "snapshot estimates outside a snapshot mark".into(),
-            }),
-            Ok(WorkerReply::Final { .. }) => Err(ClusterError::Protocol {
-                context: "sharded coordinator",
-                detail: "worker final report during the run".into(),
-            }),
-            Err(_) => {
-                Err(ClusterError::Transport("coordinator worker disconnected mid-run".into()))
-            }
-        }
-    }
-}
-
-/// Single-thread coordinator loop (the baseline hot path: plain blocking
-/// receives on the merged inbox, no select).
-fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
+/// The coordinator loop: plain blocking receives on the merged inbox.
+fn run_coordinator<P: CounterProtocol, D: DownSender>(
     protocols: &[P],
     k: usize,
     ring_cap: usize,
@@ -1881,7 +1259,7 @@ fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
     hub: Option<SnapshotHub>,
     boundary: u64,
 ) -> Result<CoordOut, ClusterError> {
-    let mut c = InlineCoord::new(protocols, k, ring_cap, down_txs, hub, boundary);
+    let mut c = Coordinator::new(protocols, k, ring_cap, down_txs, hub, boundary);
     let mut first_packet: Option<Instant> = None;
     let mut last_packet = Instant::now();
     let mut done = 0usize;
@@ -1899,11 +1277,7 @@ fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
             }
             Ok(UpPacket::Control { site, payload }) => c.handle_control(site, payload)?,
             Ok(UpPacket::Crashed { site, partial }) => c.handle_crashed(site, partial)?,
-            Ok(UpPacket::Inject { site, kill }) => {
-                if c.core.handle_inject(site, kill)? {
-                    c.rejoin(site);
-                }
-            }
+            Ok(UpPacket::Inject { site, kill }) => c.handle_inject(site, kill)?,
             Ok(UpPacket::RollRequest) => c.request_roll(),
             Ok(UpPacket::Done) => done += 1,
             Ok(UpPacket::FlushAck { epoch }) => {
@@ -1926,15 +1300,15 @@ fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
     let mut flush_epoch = 0u64;
     loop {
         flush_epoch += 1;
-        c.core.downs_since_flush = 0;
-        c.core.send_flush(flush_epoch);
+        c.downs_since_flush = 0;
+        c.send_flush(flush_epoch);
         // Dead sites never ack a barrier (their `Crashed` marker — the
         // last packet on their FIFO up link — preceded every `Done`, so
         // the roster is final before the first barrier goes out; `Inject`
         // markers likewise all precede the driver-channel close, so no
         // site is still `Dying` here and the expectation cannot change
         // mid-epoch).
-        let expected = c.core.alive_sites();
+        let expected = c.alive_sites();
         let mut acks = 0usize;
         while acks < expected {
             match up_rx.recv() {
@@ -1983,253 +1357,17 @@ fn run_coordinator_inline<P: CounterProtocol, D: DownSender>(
                 Err(_) => acks = expected, // all sites gone; nothing in flight
             }
         }
-        if c.core.downs_since_flush == 0 {
+        if c.downs_since_flush == 0 {
             break;
         }
     }
-    if c.core.roller.rolling() {
+    if c.roller.rolling() {
         return Err(ClusterError::Protocol {
             context: "coordinator",
             detail: "quiescent with an epoch roll still open".into(),
         });
     }
-    let estimates: Vec<f64> =
-        c.coords.iter().zip(protocols).map(|(co, p)| p.estimate(co)).collect();
-    Ok(c.core.finish(estimates, first_packet, last_packet, flush_epoch))
-}
-
-/// Sharded coordinator control loop: same two phases as the inline
-/// coordinator, but the control thread multiplexes the merged transport
-/// inbox with the workers' reply channel, and each flush epoch ends with a
-/// worker barrier — the flush acks prove the sites are drained, the
-/// barrier proves the workers have applied everything forwarded before
-/// those acks, so every broadcast they triggered is issued and counted
-/// before the quiescence test.
-#[allow(clippy::too_many_arguments)]
-fn run_coordinator_sharded<P: CounterProtocol, D: DownSender>(
-    protocols: &[P],
-    plan: ShardPlan,
-    k: usize,
-    ring_cap: usize,
-    down_txs: Vec<D>,
-    up_rx: Receiver<UpPacket>,
-    worker_txs: Vec<Sender<WorkerMsg>>,
-    reply_rx: Receiver<WorkerReply>,
-    hub: Option<SnapshotHub>,
-    boundary: u64,
-) -> Result<CoordOut, ClusterError> {
-    let mut c = ShardedCoord {
-        core: CtlCore::new(protocols, k, ring_cap, down_txs, hub, boundary),
-        worker_txs,
-    };
-    let mut first_packet: Option<Instant> = None;
-    let mut last_packet = Instant::now();
-    let mut done = 0usize;
-    while done < k {
-        // The reply arm comes first: pending broadcasts must be issued
-        // before more packets are forwarded, or the sites' round feedback
-        // (NewRound probability drops) lags the stream arbitrarily and the
-        // paper's message counts inflate. (The select polls arms in
-        // order, so arm order is a priority.)
-        crossbeam::channel::select! {
-            recv(reply_rx) -> reply => c.handle_reply(reply)?,
-            recv(up_rx) -> pkt => match pkt {
-                Ok(UpPacket::Updates { site, payload }) => {
-                    let now = Instant::now();
-                    first_packet.get_or_insert(now);
-                    last_packet = now;
-                    c.handle_updates(site, payload)?;
-                }
-                Ok(UpPacket::Control { site, payload }) => {
-                    c.handle_control(site, payload, &plan, &reply_rx)?
-                }
-                Ok(UpPacket::Crashed { site, partial }) => {
-                    c.handle_crashed(site, partial, &plan, &reply_rx)?
-                }
-                Ok(UpPacket::Inject { site, kill }) => {
-                    if c.core.handle_inject(site, kill)? {
-                        c.rejoin(site);
-                    }
-                }
-                Ok(UpPacket::RollRequest) => c.request_roll(&plan, &reply_rx)?,
-                Ok(UpPacket::Done) => done += 1,
-                Ok(UpPacket::FlushAck { epoch }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "coordinator",
-                        detail: format!("flush ack (epoch {epoch}) before any flush barrier"),
-                    })
-                }
-                Ok(UpPacket::Fault { error, .. }) => return Err(error),
-                Err(_) => break,
-            },
-        }
-    }
-    let mut flush_epoch = 0u64;
-    loop {
-        flush_epoch += 1;
-        c.core.downs_since_flush = 0;
-        c.core.send_flush(flush_epoch);
-        // See the inline coordinator: FIFO ordering proves every `Crashed`
-        // and `Inject` marker was handled in phase 1, so the roster is
-        // final and dead sites are exempt from the barrier.
-        let expected = c.core.alive_sites();
-        let mut acks = 0usize;
-        while acks < expected {
-            crossbeam::channel::select! {
-                recv(reply_rx) -> reply => c.handle_reply(reply)?,
-                recv(up_rx) -> pkt => match pkt {
-                    Ok(UpPacket::Updates { site, payload }) => {
-                        last_packet = Instant::now();
-                        first_packet.get_or_insert(last_packet);
-                        c.handle_updates(site, payload)?;
-                    }
-                    Ok(UpPacket::Control { site, payload }) => {
-                        c.handle_control(site, payload, &plan, &reply_rx)?
-                    }
-                    Ok(UpPacket::FlushAck { epoch }) => {
-                        if epoch != flush_epoch {
-                            return Err(ClusterError::Protocol {
-                                context: "coordinator",
-                                detail: format!(
-                                    "flush ack for epoch {epoch} during epoch {flush_epoch}"
-                                ),
-                            });
-                        }
-                        acks += 1;
-                    }
-                    Ok(UpPacket::Crashed { site, .. }) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: format!("crash marker from site {site} after end of stream"),
-                        })
-                    }
-                    Ok(UpPacket::Inject { .. }) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "fault injection after end of stream".into(),
-                        })
-                    }
-                    Ok(UpPacket::RollRequest) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "roll request after end of stream".into(),
-                        })
-                    }
-                    Ok(UpPacket::Done) => {
-                        return Err(ClusterError::Protocol {
-                            context: "coordinator",
-                            detail: "done after all streams closed".into(),
-                        })
-                    }
-                    Ok(UpPacket::Fault { error, .. }) => return Err(error),
-                    Err(_) => acks = expected,
-                },
-            }
-        }
-        // Worker barrier: per-producer FIFO means each worker's pending
-        // broadcasts precede its ack on the reply channel, so by the time
-        // all workers acked, every broadcast for updates forwarded before
-        // the k-th flush ack has been issued and counted.
-        for tx in &c.worker_txs {
-            let _ = tx.send(WorkerMsg::Barrier);
-        }
-        let workers = c.worker_txs.len();
-        let mut barrier_acks = 0usize;
-        while barrier_acks < workers {
-            match reply_rx.recv() {
-                Ok(WorkerReply::Broadcast { counter, msg }) => c.core.issue_broadcast(counter, msg),
-                Ok(WorkerReply::BarrierAck) => barrier_acks += 1,
-                Ok(WorkerReply::Fault(e)) => return Err(e),
-                Ok(WorkerReply::Estimates { .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: "snapshot estimates outside a snapshot mark".into(),
-                    })
-                }
-                Ok(WorkerReply::Final { .. }) => {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: "worker final report during the run".into(),
-                    })
-                }
-                Err(_) => {
-                    return Err(ClusterError::Transport(
-                        "coordinator worker disconnected mid-run".into(),
-                    ))
-                }
-            }
-        }
-        if c.core.downs_since_flush == 0 {
-            break;
-        }
-    }
-    if c.core.roller.rolling() {
-        return Err(ClusterError::Protocol {
-            context: "coordinator",
-            detail: "quiescent with an epoch roll still open".into(),
-        });
-    }
-    // Shutdown: close the worker queues; each worker drains, then reports
-    // its shard's estimates, which stitch back by counter range.
-    let ShardedCoord { mut core, worker_txs } = c;
-    drop(worker_txs);
-    let mut estimates = vec![0.0; protocols.len()];
-    let mut finals = 0usize;
-    while finals < plan.workers() {
-        match reply_rx.recv() {
-            Ok(WorkerReply::Final { worker, up_messages, estimates: shard }) => {
-                let range = plan.range(worker);
-                if shard.len() != range.len() {
-                    return Err(ClusterError::Protocol {
-                        context: "sharded coordinator",
-                        detail: format!(
-                            "worker {worker} reported {} estimates for a {}-counter shard",
-                            shard.len(),
-                            range.len()
-                        ),
-                    });
-                }
-                estimates[range].copy_from_slice(&shard);
-                core.stats.up_messages += up_messages;
-                finals += 1;
-            }
-            Ok(WorkerReply::Fault(e)) => return Err(e),
-            Ok(other) => {
-                return Err(ClusterError::Protocol {
-                    context: "sharded coordinator",
-                    detail: format!("unexpected worker reply {other:?} after quiescence"),
-                })
-            }
-            Err(_) => {
-                return Err(ClusterError::Transport(
-                    "coordinator worker exited without a final report".into(),
-                ))
-            }
-        }
-    }
-    Ok(core.finish(estimates, first_packet, last_packet, flush_epoch))
-}
-
-/// Resolve the configured [`CoordMode`] into a [`ShardPlan`] (or `None`
-/// for the single-thread coordinator).
-fn resolve_plan(
-    workers: usize,
-    shard_starts: Option<&[u32]>,
-    n_counters: usize,
-) -> Result<ShardPlan, ClusterError> {
-    let bad = |detail: String| ClusterError::Protocol { context: "cluster config", detail };
-    if workers == 0 {
-        return Err(bad("sharded coordinator needs at least one worker".into()));
-    }
-    match shard_starts {
-        Some(starts) => {
-            if starts.len() != workers {
-                return Err(bad(format!("{} shard starts for {workers} workers", starts.len())));
-            }
-            ShardPlan::from_starts(starts.to_vec(), n_counters).map_err(bad)
-        }
-        None => Ok(ShardPlan::even(n_counters, workers)),
-    }
+    Ok(c.finish(first_packet, last_packet, flush_epoch))
 }
 
 /// What a site thread hands back at exit: the final protocol states and
@@ -2371,12 +1509,6 @@ where
         }
     }
     let k = config.k;
-    let plan = match &config.coord {
-        CoordMode::SingleThread => None,
-        CoordMode::Sharded { workers, shard_starts } => {
-            Some(resolve_plan(*workers, shard_starts.as_deref(), protocols.len())?)
-        }
-    };
     let start = Instant::now();
 
     let Fabric { site_ups, driver_up, coord_rx, coord_downs, site_downs, pumps } =
@@ -2450,97 +1582,16 @@ where
         }
         drop(state_tx);
 
-        // --- coordinator thread (plus shard workers when sharded) ---
+        // --- coordinator thread ---
         let ring_cap = config.epoch_ring;
         let hub = config.publish.clone();
         let boundary = config.epoch_boundary.unwrap_or(0);
-        let coord_handle = match &plan {
-            None => scope.spawn(move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_coordinator_inline(
-                        protocols,
-                        k,
-                        ring_cap,
-                        coord_downs,
-                        coord_rx,
-                        hub,
-                        boundary,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    Err(ClusterError::WorkerPanicked { role: "coordinator".into() })
-                })
-            }),
-            Some(plan) => {
-                let (reply_tx, reply_rx) = unbounded::<WorkerReply>();
-                let mut worker_txs = Vec::with_capacity(plan.workers());
-                for w in 0..plan.workers() {
-                    // The worker queue must stay *shallow*: the control
-                    // thread is a fast forwarder, and any depth here
-                    // decouples the sites' round feedback (broadcast
-                    // replies) from the stream — a deep queue lets sites
-                    // run arbitrarily far ahead at a stale sampling
-                    // probability, inflating the paper's message counts.
-                    // A short bounded queue makes the control thread block
-                    // on lagging workers, which backpressures the merged
-                    // inbox and so the sites, restoring the single-thread
-                    // coupling. (Workers never block on their reply
-                    // channel, so this cannot deadlock.)
-                    let (tx, rx) = bounded::<WorkerMsg>(WORKER_QUEUE);
-                    worker_txs.push(tx);
-                    let range = plan.range(w);
-                    let reply_tx = reply_tx.clone();
-                    scope.spawn(move || {
-                        let coords = range.clone().map(|c| protocols[c].new_coord(k)).collect();
-                        let panic_tx = reply_tx.clone();
-                        let worker = ShardWorker {
-                            protocols,
-                            k,
-                            worker: w,
-                            range,
-                            coords,
-                            up_messages: 0,
-                            dead_sites: vec![false; k],
-                            reply_tx,
-                            poisoned: false,
-                        };
-                        // A panicked shard worker reports a typed fault on
-                        // the reply channel (the control thread aborts on
-                        // it); its queue disconnects, so the control
-                        // thread's sends fail fast instead of blocking.
-                        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run(rx)))
-                            .is_err()
-                        {
-                            let _ =
-                                panic_tx.send(WorkerReply::Fault(ClusterError::WorkerPanicked {
-                                    role: format!("shard worker {w}"),
-                                }));
-                        }
-                    });
-                }
-                drop(reply_tx);
-                let plan = plan.clone();
-                scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        run_coordinator_sharded(
-                            protocols,
-                            plan,
-                            k,
-                            ring_cap,
-                            coord_downs,
-                            coord_rx,
-                            worker_txs,
-                            reply_rx,
-                            hub,
-                            boundary,
-                        )
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(ClusterError::WorkerPanicked { role: "coordinator".into() })
-                    })
-                })
-            }
-        };
+        let coord_handle = scope.spawn(move || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_coordinator(protocols, k, ring_cap, coord_downs, coord_rx, hub, boundary)
+            }))
+            .unwrap_or_else(|_| Err(ClusterError::WorkerPanicked { role: "coordinator".into() }))
+        });
 
         // --- driver: feed events from the caller thread ---
         // Incoming chunks are re-chunked per destination site: each event
@@ -3035,35 +2086,30 @@ mod tests {
 
     #[test]
     fn hub_publishes_settlements_and_the_final_state() {
-        // Both coordinator modes mint a snapshot at every epoch settlement
-        // and the driver publishes the finalized state after the quiescence
+        // The coordinator mints a snapshot at every epoch settlement and
+        // the driver publishes the finalized state after the quiescence
         // handshake. Exact counters make the contract checkable hard: every
         // cumulative read of the final snapshot must equal the oracle, and
         // must be bit-identical to `settled_totals + estimates`.
-        for workers in [None, Some(2)] {
-            let protocols = vec![ExactProtocol, ExactProtocol];
-            let hub = SnapshotHub::new();
-            let mut config = ClusterConfig::new(3, 9).with_epochs(250, 8).with_publish(hub.clone());
-            if let Some(w) = workers {
-                config = config.with_coord_workers(w);
-            }
-            let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
-            let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
-            let snap = hub.load();
-            assert!(snap.finalized, "workers {workers:?}");
-            assert_eq!(snap.epochs, report.epochs);
-            // One mint per settlement, plus the final publish.
-            assert_eq!(snap.seq, report.epochs + 1, "workers {workers:?}");
-            assert_eq!(snap.events, report.events);
-            assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
-            assert_eq!(snap.closed.len(), report.epoch_estimates.len());
-            for c in 0..protocols.len() {
-                assert_eq!(snap.cumulative(c), report.exact_totals[c] as f64);
-                assert_eq!(
-                    snap.cumulative(c).to_bits(),
-                    (report.settled_totals[c] + report.estimates[c]).to_bits(),
-                );
-            }
+        let protocols = vec![ExactProtocol, ExactProtocol];
+        let hub = SnapshotHub::new();
+        let config = ClusterConfig::new(3, 9).with_epochs(250, 8).with_publish(hub.clone());
+        let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
+        let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
+        let snap = hub.load();
+        assert!(snap.finalized);
+        assert_eq!(snap.epochs, report.epochs);
+        // One mint per settlement, plus the final publish.
+        assert_eq!(snap.seq, report.epochs + 1);
+        assert_eq!(snap.events, report.events);
+        assert_eq!(snap.exact.as_deref(), Some(report.exact_totals.as_slice()));
+        assert_eq!(snap.closed.len(), report.epoch_estimates.len());
+        for c in 0..protocols.len() {
+            assert_eq!(snap.cumulative(c), report.exact_totals[c] as f64);
+            assert_eq!(
+                snap.cumulative(c).to_bits(),
+                (report.settled_totals[c] + report.estimates[c]).to_bits(),
+            );
         }
         // Without epoch rolling only the final state is published, and its
         // cumulative read is the end-of-run estimate verbatim.
@@ -3152,9 +2198,9 @@ mod tests {
     fn lone_coord(
         protocols: &[ExactProtocol],
         k: usize,
-    ) -> InlineCoord<'_, ExactProtocol, Sender<DownPacket>> {
+    ) -> Coordinator<'_, ExactProtocol, Sender<DownPacket>> {
         let down_txs = (0..k).map(|_| unbounded::<DownPacket>().0).collect();
-        InlineCoord::new(protocols, k, 8, down_txs, None, 0)
+        Coordinator::new(protocols, k, 8, down_txs, None, 0)
     }
 
     #[test]
@@ -3312,88 +2358,5 @@ mod tests {
             UpPacket::Fault { site: 0, error } => assert_eq!(error, substrate),
             other => panic!("expected forwarded transport fault, got {other:?}"),
         }
-    }
-
-    // ---- sharded coordinator smoke tests (the full bit-identity pinning
-    // ---- lives in tests/sharded_equivalence.rs) ----
-
-    #[test]
-    fn sharded_coordinator_matches_single_thread_exactly() {
-        let protocols = vec![ExactProtocol; 8];
-        let m = 4_000u64;
-        let events = || chunk_events((0..m).map(|_| vec![0usize]), 16);
-        let base = run_ok(&protocols, &ClusterConfig::new(3, 13).with_chunk(16), events(), wide8);
-        for workers in [1usize, 2, 4] {
-            let config =
-                ClusterConfig::new(3, 13).with_chunk(16).with_sharded_coordinator(workers, None);
-            let sharded = run_ok(&protocols, &config, events(), wide8);
-            assert_eq!(sharded.estimates, base.estimates, "workers {workers}");
-            assert_eq!(sharded.exact_totals, base.exact_totals, "workers {workers}");
-            assert_eq!(sharded.stats.up_messages, base.stats.up_messages, "workers {workers}");
-            assert_eq!(sharded.stats.down_messages, base.stats.down_messages, "workers {workers}");
-            assert_eq!(sharded.stats.bytes, base.stats.bytes, "workers {workers}");
-            assert_eq!(sharded.stats.packets, base.stats.packets, "workers {workers}");
-        }
-    }
-
-    #[test]
-    fn sharded_coordinator_with_more_workers_than_counters() {
-        // 5 workers over 2 counters: three shards are empty; the run must
-        // still partition the space and settle exactly.
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        let config = ClusterConfig::new(3, 9).with_chunk(8).with_sharded_coordinator(5, None);
-        let events = (0..1000u64).map(|i| vec![(i % 2) as usize]);
-        let report = run_ok(&protocols, &config, chunk_events(events, 8), tiny_map);
-        assert_eq!(report.estimates, vec![500.0, 500.0]);
-        assert_eq!(report.stats.up_messages, 1000);
-    }
-
-    #[test]
-    fn sharded_hyz_stays_in_band_and_terminates() {
-        // HYZ estimates are seed- and interleaving-dependent, so the
-        // cross-shape pin is statistical here; the exact bit-identity
-        // claims are pinned on ExactProtocol above.
-        let protocols = vec![HyzProtocol::new(0.2)];
-        let m = 30_000u64;
-        for workers in [2usize, 4] {
-            let config =
-                ClusterConfig::new(4, 7).with_chunk(32).with_sharded_coordinator(workers, None);
-            let events = (0..m).map(|_| vec![0usize]);
-            let report = run_ok(&protocols, &config, chunk_events(events, 32), all_zero);
-            assert_eq!(report.exact_totals[0], m, "workers {workers}");
-            let rel = (report.estimates[0] - m as f64).abs() / m as f64;
-            assert!(rel < 1.0, "workers {workers}: rel {rel}");
-            assert_eq!(report.stats.down_messages, report.stats.broadcasts * 4);
-        }
-    }
-
-    #[test]
-    fn sharded_epoch_rolls_settle_exactly() {
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        let config = ClusterConfig::new(3, 29)
-            .with_epochs(250, 8)
-            .with_chunk(16)
-            .with_sharded_coordinator(2, None);
-        let m = 1000u64;
-        let events = (0..m).map(|i| vec![(i % 2) as usize]);
-        let report = run_ok(&protocols, &config, chunk_events(events, 16), tiny_map);
-        assert_eq!(report.epochs, 4);
-        assert_eq!(report.dropped_epochs, 0);
-        for (est, exact) in report.epoch_estimates.iter().zip(&report.epoch_exact_totals) {
-            for (e, &t) in est.iter().zip(exact) {
-                assert_eq!(*e, t as f64, "sharded closed epoch drifted from exact");
-            }
-        }
-        assert_eq!(report.exact_totals, vec![500, 500]);
-    }
-
-    #[test]
-    fn invalid_shard_starts_fail_the_run() {
-        let protocols = vec![ExactProtocol, ExactProtocol];
-        // starts[1] = 999 is past the end of the 2-counter id space.
-        let config = ClusterConfig::new(2, 1).with_sharded_coordinator(2, Some(vec![0, 999]));
-        let events = (0..10u64).map(|_| vec![0usize]);
-        let err = run_cluster(&protocols, &config, chunk_events(events, 4), tiny_map).unwrap_err();
-        assert!(matches!(err, ClusterError::Protocol { .. }), "got {err:?}");
     }
 }

@@ -17,10 +17,10 @@
 //!   cluster; see DESIGN.md §3/§6), with chunked cross-event ingest
 //!   (`EventChunk` slabs on the event channels, multi-event wire packets
 //!   on the up channel, flush-before-control coalescing), the
-//!   `dsbn_counters::wire` frame encoding on every channel send, an
-//!   optionally sharded coordinator ([`cluster::CoordMode`] /
-//!   [`shard::ShardPlan`]), and a deterministic quiescence handshake at
-//!   shutdown (no wall-clock drain timeouts). Decode failures surface as
+//!   `dsbn_counters::wire` frame encoding on every channel send, one
+//!   coordinator thread that applies every update and issues every
+//!   broadcast in arrival order, and a deterministic quiescence handshake
+//!   at shutdown (no wall-clock drain timeouts). Decode failures surface as
 //!   typed [`transport::ClusterError`]s, never panics.
 //!
 //! Plus [`partition`] (uniform / round-robin / Zipf event routing),
@@ -33,18 +33,16 @@
 pub mod cluster;
 pub mod metrics;
 pub mod partition;
-pub mod shard;
 pub mod sim;
 pub mod snapshot;
 pub mod transport;
 
 pub use cluster::{
-    run_cluster, run_cluster_on, ChurnReport, ClusterConfig, ClusterReport, CoordMode, SiteFault,
+    run_cluster, run_cluster_on, ChurnReport, ClusterConfig, ClusterReport, SiteFault,
 };
 pub use dsbn_datagen::{chunk_events, EventChunk};
 pub use metrics::MessageStats;
 pub use partition::{Partitioner, SiteAssigner};
-pub use shard::ShardPlan;
 pub use sim::CounterArray;
 pub use snapshot::{CounterSnapshot, SnapshotHub};
 #[cfg(unix)]

@@ -15,7 +15,7 @@
 //! `CounterSnapshot` into query-ready conditional-probability reads.
 //!
 //! The [`SnapshotHub`] is the single-writer/many-reader handoff: the
-//! coordinator control thread (the only minter) `publish`es, and any
+//! coordinator thread (the only minter) `publish`es, and any
 //! number of reader threads `load` the current snapshot through the
 //! vendored `arc-swap` RCU cell — no lock, no message, no coordination
 //! with ingest on the read path.
@@ -125,7 +125,7 @@ impl SnapshotHub {
     }
 
     /// Publish a snapshot. Single writer by construction (the coordinator
-    /// control thread during a run, the driver at the end); readers
+    /// thread during a run, the driver at the end); readers
     /// observe publishes in order.
     pub(crate) fn publish(&self, snap: CounterSnapshot) {
         self.cell.store(Arc::new(snap));

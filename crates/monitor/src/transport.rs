@@ -91,7 +91,7 @@ pub enum ClusterError {
     /// propagating the panic (or worse, silently swallowing it at join).
     WorkerPanicked {
         /// Which thread died, e.g. `"coordinator"`, `"site 3"`,
-        /// `"shard worker 1"`, `"transport pump"`.
+        /// `"transport pump"`.
         role: String,
     },
 }
